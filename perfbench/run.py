@@ -3,16 +3,17 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload lake2000-cold --seed 0 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload lake2000-refresh --seed 0 --seconds 30 --trace 0
 
 Workloads (see ``perfbench/workloads.py`` and ``perfbench/BASELINE.md``):
-``howto-served``, ``lake2000-cold``, ``lake2000-refresh``.
+``howto-served``, ``lake2000-refresh``.
 
 ``--trace 0`` measures the end-to-end metrics with nothing wrapped.
-``--trace 1`` first runs the same loop untraced for half the time, then
-installs the layer wrappers of ``perfbench/tracer.py`` for the other
-half and reports the per-layer metrics (and the tracing overhead as the
-ratio of the two halves' median request times).
+``--trace 1`` traces the set-ups, then runs the same loop untraced for
+half the time, then installs the layer wrappers of
+``perfbench/tracer.py`` for the other half and reports the per-layer
+metrics (and the tracing overhead as the ratio of the two halves'
+median request times).
 
 Every metric is printed as ``<name> <value> <unit>``; the last line is
 one JSON object with the keys ``correct``, ``attempted``, ``failed`` and
@@ -24,6 +25,7 @@ whether every output check passed); 2 means the benchmark could not run
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -37,7 +39,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SOURCE = os.path.join(ROOT, "src")
 DIGESTS = os.path.join(HERE, "digests.json")
-WORKLOADS = ("howto-served", "lake2000-cold", "lake2000-refresh")
+WORKLOADS = ("howto-served", "lake2000-refresh")
 
 #: End-to-end metrics (``--trace 0``): name -> unit.
 END_TO_END = {
@@ -70,7 +72,6 @@ PER_LAYER = {
     "api.prepare_s": "s",
     "api.search_s": "s",
     "api.prepare_cache_hit_ratio": "ratio",
-    "discovery.index_build_s": "s",
     "discovery.sign_s": "s",
     "discovery.lsh_s": "s",
     "kernels.hash_s": "s",
@@ -98,6 +99,15 @@ PER_LAYER = {
     "trace.overhead_ratio": "ratio",
     "failed_ratio": "ratio",
 }
+
+#: Spans of the set-up (a cold catalog build on ``lake2000-refresh``)
+#: reported, in seconds per set-up, as ``setup.<metric>``.
+SETUP_SPANS = (
+    "discovery.index_build_s", "discovery.sign_s", "discovery.lsh_s",
+    "kernels.hash_s", "discovery.materialize_s", "profiles.profile_s",
+    "catalog.refresh_s", "catalog.save_s",
+)
+PER_LAYER.update({f"setup.{name}": "s" for name in SETUP_SPANS})
 
 #: Inclusive span time reported as ``<metric>``: metric -> span key.
 _INCLUSIVE = {
@@ -206,7 +216,9 @@ def per_layer(workload, layers, layer_of, tracer_stats, traced, untraced) -> dic
     def prefix_count(name):
         return sum(stats[i].counts.get(name, 0) for i in prefix) / k
 
-    metrics = {name: mean_time(key) for name, key in _INCLUSIVE.items()}
+    metrics = {
+        name: mean_time(key) for name, key in _INCLUSIVE.items() if name in PER_LAYER
+    }
     metrics.update({name: prefix_count(name) for name in COUNTERS})
     # The task oracle's own time: its span minus the spans it opened
     # (featurize, independence tests, model fit and predict).
@@ -270,37 +282,55 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
 
     inputs = workload.inputs(seed)
     setup_times, checked, state = [], [], None
-    for _ in range(workload.setup_reps):
-        if state is not None:
-            workload.close(state)
-        start = time.perf_counter()
-        state = workload.setup(inputs)
-        warm = workload.warmup(state)
-        setup_times.append(time.perf_counter() - start)
-        if warm is not None:
-            checked.append(warm)
+    setup_tracer = (
+        tracer_module.LayerTracer() if trace else contextlib.nullcontext()
+    )
+    # A one-client workload sets up and serves on one thread, which
+    # visits every CPU (see workloads.CpuRotation).
+    rotate = workload.clients == 1
+    with setup_tracer, workloads.CpuRotation(enabled=rotate):
+        if trace:
+            setup_tracer.set_tag("setup")
+        for _ in range(workload.setup_reps):
+            if state is not None:
+                workload.close(state)
+            start = time.perf_counter()
+            state = workload.setup(inputs)
+            warm = workload.warmup(state)
+            setup_times.append(time.perf_counter() - start)
+            if warm is not None:
+                checked.append(warm)
+    if trace:
+        spans = setup_tracer.stats.get("setup", tracer_module.RequestStats()).inclusive
+        setup_metrics = {
+            f"setup.{name}": spans.get(_INCLUSIVE[name], 0.0) / len(setup_times)
+            for name in SETUP_SPANS
+        }
     gc.collect()
     try:
-        if not trace:
-            cpu = time.process_time()
-            outcomes, wall, errors = workloads.closed_loop(workload, state, seconds)
-            cpu = time.process_time() - cpu
-            metrics = end_to_end(workload, outcomes, wall, setup_times)
-            measured = outcomes
-        else:
-            untraced, _, errors = workloads.closed_loop(workload, state, seconds / 2)
-            tag_of = (
-                (lambda request: workload.tag_of(state, request))
-                if workload.clients > 1 else None
-            )
-            with tracer_module.LayerTracer(tag_of=tag_of) as layer_tracer:
-                state["untimed"] = layer_tracer.untimed
-                traced, _, traced_errors = workloads.closed_loop(
-                    workload, state, seconds / 2, on_start=layer_tracer.set_tag
+        with workloads.CpuRotation(enabled=rotate):
+            if not trace:
+                cpu = time.process_time()
+                outcomes, wall, errors = workloads.closed_loop(workload, state, seconds)
+                cpu = time.process_time() - cpu
+                metrics = end_to_end(workload, outcomes, wall, setup_times)
+                measured = outcomes
+            else:
+                untraced, _, errors = workloads.closed_loop(
+                    workload, state, seconds / 2
                 )
-            errors += traced_errors
-            measured = traced
-            outcomes = untraced + traced
+                tag_of = (
+                    (lambda request: workload.tag_of(state, request))
+                    if workload.clients > 1 else None
+                )
+                with tracer_module.LayerTracer(tag_of=tag_of) as layer_tracer:
+                    state["untimed"] = layer_tracer.untimed
+                    traced, _, traced_errors = workloads.closed_loop(
+                        workload, state, seconds / 2, on_start=layer_tracer.set_tag
+                    )
+                errors += traced_errors
+                measured = traced
+                outcomes = untraced + traced
         # Checks: invariants (already on each outcome), digests, and the
         # workload's own whole-run checks; untimed.
         check_outcomes(workload, checked + sorted(outcomes, key=lambda o: o.index), committed)
@@ -310,6 +340,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     if trace:
         metrics = per_layer(workload, tracer_module.LAYERS, tracer_module.LAYER_OF,
                             layer_tracer.stats, traced, untraced)
+        metrics.update(setup_metrics)
     checked += outcomes
     failed = sum(bool(o.problems) for o in checked) + len(errors)
     attempted = len(checked) + len(errors)
@@ -324,7 +355,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
         f"digests {'committed+repeat' if committed else 'repeat-only'}")
     log("# request seconds: " + " ".join(f"{o.seconds:.3f}" for o in done))
     if not trace:
-        log(f"# loop wall {wall:.3f} s, process cpu {cpu:.3f} s")
+        log(f"# timed loop wall {wall:.3f} s, process cpu {cpu:.3f} s")
     seen = {}
     for outcome in checked:
         variant = workload.variant(outcome.index)

@@ -1,4 +1,4 @@
-"""The benchmark's three workloads, each driven through the public API.
+"""The benchmark's two workloads, each driven through the public API.
 
 A workload makes its inputs from the benchmark seed (untimed), sets
 itself up (timed: ``setup_s``), then serves requests from closed-loop
@@ -16,7 +16,7 @@ another set of base keys is another amount of model-fitting or
 candidate work), far beyond the bounds a regression check needs.
 
 Every request's output is digested (selected augmentation ids, utility
-and query trace; on the lake workloads also the candidate ids and
+and query trace; on the lake workload also the candidate ids and
 profile vectors) and checked three ways: against the committed digests
 when the seed has them, against the digest of an earlier request with
 the same parameters in the same run, and against invariants any correct
@@ -184,7 +184,9 @@ class HowtoServed(Workload):
            "to 2 tenants; no forest, so scheduling and bookkeeping dominate")
     clients = 2
     prefix = 20
-    setup_reps = 3
+    #: A set-up takes about 1.2 s and the host's speed phases last from
+    #: seconds to minutes: the median of nine spans about 11 s.
+    setup_reps = 9
     budget = 30
     #: Request seeds are ``seed * SEED_STRIDE + index`` (one per request).
     SEED_STRIDE = 100000
@@ -336,45 +338,15 @@ def lake_outcome(index, seconds, engine, run, state, budget):
     return _outcome(index, seconds, result, budget, candidates, status=run.status)
 
 
-class LakeCold(Workload):
-    name = "lake2000-cold"
-    why = ("full cold discover() over a 2000-table lake in a fresh engine; "
-           "index build, materialize and profiling dominate")
-    prefix = 1
-    budget = 10
-
-    def inputs(self, seed):
-        return lake_inputs(seed, self.scaled(LAKE_TABLES))
-
-    def setup(self, inputs):
-        return {**inputs, "untimed": contextlib.nullcontext}
-
-    def warmup(self, state):
-        # The first request in a process also fills per-table caches
-        # (decoded values, distinct sets) a long-lived process keeps; it
-        # is set-up, and later requests measure the steady cold path.
-        return self.request(state, 0)
-
-    def request(self, state, index):
-        # The previous request's engine is garbage now; collecting it
-        # here keeps its cleanup out of this request's timing.
-        gc.collect()
-        start = time.perf_counter()
-        engine = DiscoveryEngine(corpus=state["corpus"], result_cache_bytes=0)
-        run = engine.discover(lake_request(state, self.budget))
-        seconds = time.perf_counter() - start
-        try:
-            return lake_outcome(index, seconds, engine, run, state, self.budget)
-        finally:
-            engine.shutdown()
-
-
 class LakeRefresh(Workload):
     name = "lake2000-refresh"
     why = ("reopen a saved 2000-table catalog against a lake with 1% of "
-           "tables changed; store reads, re-signing and write-back dominate")
+           "tables changed (store reads, re-signing, write-back); its set-up "
+           "is the cold 2000-table build")
     prefix = 1
     budget = 10
+    #: Each set-up is a cold 2000-table catalog build and save.
+    setup_reps = 2
 
     def __init__(self, workdir: str, scale: float = 1.0):
         super().__init__(scale)
@@ -444,20 +416,75 @@ def _changed(table: Table) -> Table:
 def all_workloads(workdir: str, scale: float = 1.0) -> dict:
     return {
         w.name: w
-        for w in (HowtoServed(scale), LakeCold(scale), LakeRefresh(workdir, scale))
+        for w in (HowtoServed(scale), LakeRefresh(workdir, scale))
     }
 
 
 # ---------------------------------------------------------------------------
+class CpuRotation:
+    """While active, moves the calling thread to the next CPU of the
+    process's set every :attr:`PERIOD` seconds (a no-op unless
+    ``enabled`` and the set has more than one CPU).
+
+    On a shared host each virtual CPU's speed drifts on its own, by up
+    to 1.5x in phases that last from seconds to minutes.  A single thread stays on the
+    CPU it started on, so it measured that CPU's phase; rotating makes
+    every set-up, and every multi-second request, sample all of the
+    process's CPUs.  The program's work is unchanged.  A thread started
+    meanwhile inherits the one CPU of the moment, so on exit every
+    thread of the process gets the whole set back."""
+
+    #: Seconds on one CPU before moving to the next.
+    PERIOD = 0.5
+
+    def __init__(self, enabled: bool = True):
+        cpus = []
+        if enabled and hasattr(os, "sched_setaffinity"):
+            cpus = sorted(os.sched_getaffinity(0))
+        self.cpus = cpus if len(cpus) > 1 else []
+        self._stop = threading.Event()
+        self._thread = None
+
+    def __enter__(self):
+        if self.cpus:
+            self._tid = threading.get_native_id()
+            self._thread = threading.Thread(
+                target=self._rotate, name="cpu-rotation", daemon=True
+            )
+            self._thread.start()
+        return self
+
+    def _rotate(self):
+        turn = 0
+        while not self._stop.wait(self.PERIOD):
+            turn += 1
+            os.sched_setaffinity(self._tid, {self.cpus[turn % len(self.cpus)]})
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._stop.set()
+            self._thread.join()
+            for tid in os.listdir("/proc/self/task"):
+                with contextlib.suppress(ProcessLookupError):
+                    os.sched_setaffinity(int(tid), self.cpus)
+        return False
+
+
 def closed_loop(workload, state, seconds: float, on_start=None) -> tuple:
     """Run the workload's clients until ``seconds`` have passed and at
-    least ``prefix`` requests completed; returns ``(outcomes, wall)``.
+    least ``prefix`` requests completed; returns
+    ``(outcomes, timed_wall, errors)``.
 
     Client ``c`` issues requests ``c, c + clients, c + 2 * clients, ...``
-    and sends each only after the previous one returned."""
+    and sends each only after the previous one returned.  The time a
+    request call spends outside its own timing (copying the saved store,
+    collecting garbage, digesting the output) is the benchmark's, not
+    the program's: ``timed_wall`` is the loop's wall time minus the part
+    of it every client spent there (all of it with one client)."""
     outcomes = []
     lock = threading.Lock()
     errors = []
+    untimed = [0.0] * workload.clients
     per_client = -(-workload.prefix // workload.clients)
     start = time.perf_counter()
     deadline = start + seconds
@@ -469,7 +496,9 @@ def closed_loop(workload, state, seconds: float, on_start=None) -> tuple:
                 index = j * workload.clients + c
                 if on_start is not None:
                     on_start(index)
+                called = time.perf_counter()
                 outcome = workload.request(state, index)
+                untimed[c] += time.perf_counter() - called - outcome.seconds
                 with lock:
                     outcomes.append(outcome)
                 j += 1
@@ -490,4 +519,4 @@ def closed_loop(workload, state, seconds: float, on_start=None) -> tuple:
             thread.join()
     wall = time.perf_counter() - start
     outcomes.sort(key=lambda o: o.index)
-    return outcomes, wall, errors
+    return outcomes, wall - min(untimed), errors
