@@ -22,7 +22,6 @@ from repro.api.errors import (
     Overloaded,
     ReproError,
 )
-from repro.api.futures import DiscoveryFuture
 from repro.api.events import (
     AugmentationAccepted,
     CancellationToken,
@@ -55,7 +54,6 @@ __all__ = [
     "Internal",
     "DiscoveryEngine",
     "EngineStateError",
-    "DiscoveryFuture",
     "DiscoveryRequest",
     "CandidateSpec",
     "DiscoveryRun",

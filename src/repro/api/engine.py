@@ -22,17 +22,17 @@ own right).  Each run gets its own searcher, query accounting, and RNG —
 so N callers can serve requests against one warm engine concurrently
 (``benchmarks/bench_engine_concurrency.py``).
 
-``submit`` is the non-blocking variant: it queues the request on a
-bounded worker pool and returns a
-:class:`~repro.api.futures.DiscoveryFuture` immediately.  An optional
-result cache (``result_cache_bytes``) serves repeated identical requests
-from their recorded runs without re-searching; with
+The engine serves on the caller's thread and owns no threads of its
+own; queueing and worker pools belong to the caller (the
+:class:`~repro.server.DiscoveryService` is the one scheduler).  An
+optional result cache (``result_cache_bytes``) serves repeated identical
+requests from their recorded runs without re-searching; with
 ``persist_results=True`` (and a store-backed catalog) completed run
 records additionally spill into the catalog store under content-
 addressed keys, so repeated requests warm-start across processes and
-survive restarts.  Submitting an identical cacheable request while one
-is already in flight *reserves* its cache slot: the follower waits for
-the owner and replays the recorded run instead of searching twice.
+survive restarts.  ``discover`` is single-flight for cacheable requests:
+the first of several identical concurrent calls *reserves* the cache
+slot and searches, the others wait for it and replay its record.
 
 A :class:`~repro.catalog.CatalogRefresher` can be attached
 (:meth:`attach_refresher`): the engine then swaps the refresher's
@@ -47,7 +47,6 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 import weakref
 from dataclasses import replace
 
@@ -67,7 +66,6 @@ from repro.api.registries import (
     default_searchers,
     default_tasks,
 )
-from repro.api.futures import DiscoveryFuture
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
@@ -136,8 +134,11 @@ class DiscoveryEngine:
         parallel benchmark compares against; results are identical
         either way.
     max_workers:
-        Size of the bounded worker pool behind :meth:`submit` (created
-        lazily on the first submit; :meth:`shutdown` drains it).
+        How many requests this engine is meant to serve at once.  The
+        engine starts no threads itself: a
+        :class:`~repro.server.DiscoveryService` runs this many workers
+        against it, and ``compare_searchers(parallel=True)`` fans out at
+        most this many ``discover`` calls.
     result_cache_bytes:
         Byte budget of the engine-level result cache (measured as the
         JSON run-record size, LRU-evicted).  ``0``/``None`` (default)
@@ -229,7 +230,6 @@ class DiscoveryEngine:
         self.max_prepared_sets = max_prepared_sets
         self._prepared = prepared  # prepare key -> candidates (LRU-bounded)
         self.max_workers = max_workers
-        self._executor = None
         if result_cache_bytes:
             self._results = LruDict(max_bytes=result_cache_bytes)
         else:
@@ -237,8 +237,8 @@ class DiscoveryEngine:
         self.result_cache_bytes = result_cache_bytes
         self.persist_results = bool(persist_results)
         #: In-flight reservations of result-cache slots: cache-key prefix
-        #: -> threading.Event set when the owning submitted run resolves
-        #: (completes, fails, or is cancelled while still queued).
+        #: -> threading.Event set when the owning discover() call returns
+        #: or raises (single-flight; see :meth:`_claim`).
         self._reservations = {}
         self._refresher = None
         self._staleness_budget = (
@@ -254,7 +254,7 @@ class DiscoveryEngine:
         #: maps ``id(table)`` with a weakref that both guards against id
         #: reuse and evicts dead entries).  The cache key of a request
         #: then hashes its base table once per object — not once per
-        #: submit, once per discover, and once per corpus scan.
+        #: discover and once per corpus scan.
         #: Registry fingerprints are deliberately NOT memoized:
         #: ProfileRegistry mutates in place (``add``/``remove``), and a
         #: stale digest would replay runs recorded under the old
@@ -320,19 +320,6 @@ class DiscoveryEngine:
         )
         for event in ("hit", "miss"):
             self._m_prepare_cache.labels(event=event)
-        self._m_queue_depth = registry.gauge(
-            "repro_engine_submit_queue_depth",
-            "Submitted runs accepted but not yet executing.",
-        )
-        self._m_pool_active = registry.gauge(
-            "repro_engine_pool_active_workers",
-            "Worker-pool threads currently executing runs.",
-        )
-        self._m_pool_max = registry.gauge(
-            "repro_engine_pool_max_workers",
-            "Size of the bounded worker pool behind submit().",
-        )
-        self._m_pool_max.set(self.max_workers)
         self._m_prepared_sets = registry.gauge(
             "repro_engine_prepared_sets",
             "Prepared-candidate sets resident in the LRU cache.",
@@ -552,22 +539,16 @@ class DiscoveryEngine:
                     corpus_fingerprint(snapshot.fingerprints),
                 )
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Drain the async worker pool (no-op when none was created).
-
-        ``wait=True`` blocks until queued runs finish.  The engine stays
-        usable — a later :meth:`submit` lazily builds a fresh pool.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Release the engine.  It owns no threads, so there is nothing
+        to drain; the engine stays usable.  Kept so every engine can be
+        closed the same way (and used as a context manager)."""
 
     def __enter__(self) -> "DiscoveryEngine":
         return self
 
     def __exit__(self, *exc_info):
-        self.shutdown(wait=True)
+        self.shutdown()
         return False
 
     @property
@@ -778,6 +759,12 @@ class DiscoveryEngine:
         ``progress`` (they carry the original run's id).  With
         ``persist_results``, a record spilled by an earlier process is
         replayed the same way (and re-admitted to the in-memory tier).
+
+        Cacheable requests are single-flight: while one call searches a
+        request, identical calls wait for it and then replay its record
+        instead of searching twice.  When the searching call ends
+        without admitting a record (it failed or was cancelled), one of
+        the waiters searches in its place.
         """
         task = self._resolve_task(request)
         factory = self.searchers.get(request.searcher)  # fail before any work
@@ -789,14 +776,67 @@ class DiscoveryEngine:
             # a completed replay — skip the cache and serve normally
             # (the run stops at its first utility query, as ever).
             cache_key = None
+        reservation = None
         if cache_key is not None:
+            hit, reservation = self._claim(cache_key, cancel)
+            if hit is not None:
+                return self._replay(hit, request, progress)
+            if reservation is None:
+                # Cancelled while waiting on an identical call: serve it
+                # live, so it ends cancelled like any cancelled request.
+                cache_key = None
+        try:
+            return self._discover_owned(
+                request, task, factory, progress, cancel, cache_key
+            )
+        finally:
+            if reservation is not None:
+                self._release(cache_key)
+
+    def _claim(self, cache_key, cancel: CancellationToken = None):
+        """Single-flight entry of one cacheable request.
+
+        Returns ``(hit, None)`` when the in-memory tier holds the
+        record, ``(None, reservation)`` when this call now owns the
+        key's reservation (it searches, then :meth:`_release`s it), and
+        ``(None, None)`` when ``cancel`` fired while waiting on another
+        call's reservation.
+        """
+        while True:
             with self._lock:
                 # Lookup under the *current* catalog mutation count:
                 # out-of-band catalog changes (engine.catalog.add/...)
                 # shift the count and make older entries unreachable.
                 hit = self._results.get(cache_key + (self._catalog_mutations(),))
-            if hit is not None:
-                return self._replay(hit, request, progress)
+                if hit is not None:
+                    return hit, None
+                pending = self._reservations.get(cache_key)
+                if pending is None:
+                    reservation = threading.Event()
+                    self._reservations[cache_key] = reservation
+                    return None, reservation
+            # An identical call is searching: wait for it, then look
+            # again (it admitted its record, or it ended without one and
+            # this call may take the search over).  The timeout only
+            # lets a cancelled waiter stop waiting.
+            while not pending.wait(timeout=0.05):
+                if cancel is not None and cancel.cancelled:
+                    return None, None
+
+    def _release(self, cache_key) -> None:
+        """Drop the reservation this call took in :meth:`_claim` and
+        wake its waiters (on every exit: completed, cancelled, raised)."""
+        with self._lock:
+            reservation = self._reservations.pop(cache_key)
+        reservation.set()
+
+    def _discover_owned(
+        self, request, task, factory, progress, cancel, cache_key
+    ) -> DiscoveryRun:
+        """:meth:`discover` past the in-memory lookup: the persistent
+        tier, else a live run admitted to both tiers (with a
+        ``cache_key``, the caller holds its reservation)."""
+        if cache_key is not None:
             stored = self._load_persistent(cache_key, request)
             if stored is not None:
                 run, size = stored
@@ -895,112 +935,6 @@ class DiscoveryEngine:
                 "result_cache_tier": tier,
             },
         )
-
-    def submit(
-        self,
-        request: DiscoveryRequest,
-        progress=None,
-        cancel: CancellationToken = None,
-        staleness_budget: float = None,
-    ) -> DiscoveryFuture:
-        """Non-blocking :meth:`discover`: returns immediately.
-
-        The request is queued on the engine's bounded worker pool (at
-        most ``max_workers`` runs execute at once; further submissions
-        wait their turn) and served with exactly the synchronous
-        semantics — same preparation sharing, result cache, events, and
-        records.  The returned :class:`DiscoveryFuture` owns the run's
-        cancellation token (``cancel`` to supply your own), so queued
-        runs can be dropped and executing runs stopped cooperatively.
-
-        A cacheable request *reserves* its result-cache slot while in
-        flight: an identical request submitted meanwhile waits for the
-        owner to resolve and then replays the recorded run instead of
-        executing the same search twice.  The reservation is released
-        when the owning future resolves — including a future cancelled
-        while still queued (its run never executes, so the release rides
-        the future's done callback; anything else would leak the slot
-        until shutdown and leave followers waiting forever).
-        """
-        token = cancel if cancel is not None else CancellationToken()
-        # Computed on the submitting thread because the reservation must
-        # exist before this call returns; the fingerprints it needs are
-        # memoized by object identity, so the worker's own key
-        # computation inside discover() reuses them instead of hashing
-        # the base table a second time.
-        reservation_key = self._result_cache_key(request)
-        owner_event = None
-        wait_for = None
-
-        def _tracked(fn, *args):
-            # Runs on the worker thread: the handoff from "queued" to
-            # "executing" is what the two gauges chart.
-            self._m_queue_depth.dec()
-            self._m_pool_active.inc()
-            try:
-                return fn(*args)
-            finally:
-                self._m_pool_active.dec()
-
-        def _follow():
-            # By the time the owner resolves its record is admitted (or
-            # it failed/cancelled, in which case this executes a normal
-            # run) — either way a plain discover is correct.
-            wait_for.wait()
-            return self.discover(request, progress, token, staleness_budget)
-
-        # Reservation registration and enqueueing happen under ONE lock
-        # acquisition: a follower can only observe a reservation whose
-        # owner is already ahead of it in the pool's FIFO queue, so a
-        # follower can never occupy the last worker while its owner
-        # waits behind it.  Holding the lock across submit also means a
-        # racing shutdown() either drains this run or never sees it.
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-engine",
-                )
-            if reservation_key is not None:
-                existing = self._reservations.get(reservation_key)
-                if existing is None:
-                    owner_event = threading.Event()
-                    self._reservations[reservation_key] = owner_event
-                else:
-                    wait_for = existing
-            self._m_queue_depth.inc()
-            if wait_for is not None:
-                future = self._executor.submit(_tracked, _follow)
-            else:
-                future = self._executor.submit(
-                    _tracked,
-                    self.discover,
-                    request,
-                    progress,
-                    token,
-                    staleness_budget,
-                )
-
-        def _queue_drop(f):
-            # Cancelled-while-queued is the one resolution path where the
-            # tracked body never runs, so the queue gauge must be
-            # balanced here or it leaks one slot per dropped run.
-            if f.cancelled():
-                self._m_queue_depth.dec()
-
-        future.add_done_callback(_queue_drop)
-        if owner_event is not None:
-            def _release(_inner, key=reservation_key, event=owner_event):
-                with self._lock:
-                    if self._reservations.get(key) is event:
-                        del self._reservations[key]
-                event.set()
-
-            # A done callback fires on completion, failure, *and*
-            # cancellation-while-queued — the one path where the run
-            # body never executes and an in-run release would leak.
-            future.add_done_callback(_release)
-        return DiscoveryFuture(future, token, request)
 
     def _memo_fingerprint(self, obj, memo: dict, compute) -> str:
         """Identity-memoized content digest of an immutable object.
@@ -1520,9 +1454,9 @@ class DiscoveryEngine:
         return corpus_characteristics(corpus, index)
 
     def _refresh_gauges(self) -> None:
-        """Bring the derived gauges (cache occupancy, pool shape) up to
-        date with the engine's live state — counters and histograms are
-        written at the event sites and never need this."""
+        """Bring the derived gauges (cache occupancy) up to date with
+        the engine's live state — counters and histograms are written
+        at the event sites and never need this."""
         with self._lock:
             self._m_prepared_sets.set(len(self._prepared))
             self._m_cache_entries.set(
@@ -1532,7 +1466,6 @@ class DiscoveryEngine:
                 self._results.total_bytes if self._results is not None else 0
             )
             self._m_cache_reserved.set(len(self._reservations))
-        self._m_pool_max.set(self.max_workers)
 
     def stats(self) -> dict:
         """Engine-level serving statistics (registry-backed)."""
@@ -1550,12 +1483,6 @@ class DiscoveryEngine:
                 "queries_served": self.queries_served,
                 "prepared_candidate_sets": len(self._prepared),
                 "active_prepares": len(self._prepare_keys),
-                "async_pool_active": self._executor is not None,
-                "queue_depth": int(self._m_queue_depth.value),
-                "pool_active": int(self._m_pool_active.value),
-                "pool_utilization": (
-                    self._m_pool_active.value / self.max_workers
-                ),
                 "prepare_cache_hits": prepare_hits,
                 "prepare_cache_misses": prepare_misses,
                 "prepare_cache_hit_rate": (

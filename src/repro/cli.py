@@ -7,8 +7,8 @@ Commands
 ``run``
     Run METAM (and optionally baselines) on a scenario and print the
     utility-vs-queries chart; ``--save`` archives results as JSON.
-    ``--async`` serves every searcher concurrently through the engine's
-    worker pool (identical results, overlapped wall-clock);
+    ``--async`` fans the searchers out as concurrent ``discover()``
+    calls (identical results, overlapped wall-clock);
     ``--no-result-cache`` disables the engine's result cache.  Ctrl-C
     cancels the comparison cooperatively and exits with status 130.
 ``stats``
@@ -155,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="serve METAM and the baselines concurrently through the "
-        "engine's worker pool (engine.submit); results are identical to "
-        "the sequential path",
+        help="run METAM and the baselines as concurrent discover() "
+        "calls (up to the engine's max_workers at once); results are "
+        "identical to the sequential path",
     )
     run.add_argument(
         "--staleness-budget",
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="engine worker pool size (= concurrent runs per catalog)",
+        help="engine max_workers: the service's worker threads "
+        "(= concurrent runs) per catalog",
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -578,7 +579,6 @@ def _cmd_run(args) -> int:
         return 130
     finally:
         restore_sigint()
-        engine.shutdown()
         if refresher is not None:
             refresher.stop()
     print(f"Scenario: {scenario.name} "
@@ -593,9 +593,8 @@ def _cmd_run(args) -> int:
     if args.save:
         save_results(report.runs[0], args.save)
         print(f"\nResults written to {args.save}")
-    # Telemetry outlives shutdown(): the registry and the trace ring
-    # are plain in-memory state, so exporting after the pool is gone is
-    # safe (and captures the final gauge values).
+    # The registry and the trace ring are plain in-memory state:
+    # exporting after the comparison captures the final gauge values.
     if args.metrics_out:
         _write_metrics(engine, args.metrics_out)
         print(f"Metrics written to {args.metrics_out}")
@@ -623,10 +622,10 @@ def _cmd_stats(args) -> int:
     """One small discovery on a fully instrumented engine.
 
     The engine serves through a store-backed refresher (shard-lock and
-    store read/write metrics included), the first request goes through
-    ``submit()`` (queue/pool gauges move), and the second identical
-    ``discover()`` replays from the result cache — so the exposition
-    covers every subsystem with real, nonzero samples.
+    store read/write metrics included), the first ``discover()`` runs
+    live, and the second identical one replays from the result cache —
+    so the exposition covers every subsystem with real, nonzero
+    samples.
     """
     import tempfile
 
@@ -664,10 +663,9 @@ def _cmd_stats(args) -> int:
             ),
         )
         try:
-            engine.submit(request).result()
+            engine.discover(request)
             engine.discover(request)
         finally:
-            engine.shutdown()
             refresher.stop()
     if args.as_json:
         print(json.dumps(engine.metrics_snapshot(), indent=2, sort_keys=True))

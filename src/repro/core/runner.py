@@ -10,6 +10,7 @@ when the engine carries one).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -97,10 +98,11 @@ def compare_searchers(
     (its corpus must match the scenario's); by default a transient one is
     built over ``scenario.corpus``.
 
-    ``parallel=True`` submits every searcher of a seed through
-    :meth:`~repro.api.DiscoveryEngine.submit` and gathers the futures —
-    the requests (and therefore the results) are identical to the
-    sequential path; candidates are still prepared once per seed.
+    ``parallel=True`` runs every searcher of a seed as its own
+    :meth:`~repro.api.DiscoveryEngine.discover` call on a local thread
+    pool of ``engine.max_workers`` threads — the requests (and therefore
+    the results) are identical to the sequential path; candidates are
+    still prepared once per seed.
     ``cancel`` (a :class:`~repro.api.CancellationToken`) aborts the
     whole comparison cooperatively: the first cancelled run raises
     :class:`~repro.api.RunCancelled` instead of letting a partial
@@ -110,7 +112,7 @@ def compare_searchers(
     # (the searcher registry imports the baselines, which import this
     # package), so a top-level import would be circular.
     from repro.api.engine import DiscoveryEngine
-    from repro.api.events import RunCancelled
+    from repro.api.events import CancellationToken, RunCancelled
     from repro.api.request import DiscoveryRequest
 
     def checked(run) -> SearchResult:
@@ -153,19 +155,21 @@ def compare_searchers(
                 candidates=candidates,
             )
         if parallel:
-            futures = {
-                name: engine.submit(request, cancel=cancel)
-                for name, request in requests.items()
-            }
-            try:
-                per_seed = {
-                    name: checked(future.result())
-                    for name, future in futures.items()
+            # One token for the seed's runs: the first failure stops all.
+            token = cancel if cancel is not None else CancellationToken()
+            with ThreadPoolExecutor(max_workers=engine.max_workers) as pool:
+                futures = {
+                    name: pool.submit(engine.discover, request, cancel=token)
+                    for name, request in requests.items()
                 }
-            except BaseException:
-                for future in futures.values():
-                    future.cancel()  # don't leave siblings running
-                raise
+                try:
+                    per_seed = {
+                        name: checked(future.result())
+                        for name, future in futures.items()
+                    }
+                except BaseException:
+                    token.cancel()  # don't leave siblings running
+                    raise
         else:
             per_seed = {
                 name: checked(engine.discover(request, cancel=cancel))

@@ -210,7 +210,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request after this one.
+            self.close_connection = True
+            raise InvalidRequest(
+                f"invalid Content-Length header {header!r}",
+                details={"field": "Content-Length"},
+            ) from None
         if length <= 0:
             raise InvalidRequest("request body required")
         if length > MAX_BODY_BYTES:

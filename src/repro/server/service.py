@@ -16,11 +16,13 @@ the engine deliberately does not have:
   ``retry_after`` — the HTTP layer turns it into 429 + ``Retry-After``.
   Quota refusals never consume queue capacity, so a noisy tenant cannot
   starve the queue for the others.
-* **Fair scheduling with priorities.**  The engine's pool is FIFO; the
-  service keeps its own per-tenant queues and dispatches round-robin
-  across tenants (highest ``priority`` first within a tenant, FIFO
-  within a priority) into a slot budget equal to the engine's
-  ``max_workers``.  Two tenants at full blast each get half the pool.
+* **Fair scheduling with priorities.**  The service is the one
+  scheduler: it keeps per-tenant queues, and each catalog gets
+  ``engine.max_workers`` long-lived worker threads that take runs
+  round-robin across tenants (highest ``priority`` first within a
+  tenant, FIFO within a priority) and serve each with a synchronous
+  ``engine.discover``.  Two tenants at full blast each get half the
+  workers.
 * **Run lifecycle and event fan-in.**  Each accepted submission becomes
   a service-scoped run handle (``run-000001``-style ids) whose state
   moves ``queued → running → completed|cancelled|failed``.  The
@@ -29,10 +31,12 @@ the engine deliberately does not have:
   source) — a subscriber that disconnects affects nothing, and a run
   cancelled before the engine ever saw it gets a synthesized terminal
   ``run-completed(status="cancelled")`` event so streams always end
-  with a terminal event.
+  with a terminal event.  Each run carries its own
+  :class:`~repro.api.events.CancellationToken`; cancelling an executing
+  run fires it, and the run stops at its next utility query.
 * **Graceful drain.**  :meth:`shutdown` stops admitting (new
   submissions get ``Overloaded``), cancels still-queued runs, waits for
-  executing runs to finish, and shuts the engines down.
+  executing runs to finish, and stops the workers.
 
 All service metrics are stamped with a ``tenant`` label on the shared
 registry; tenant names pass through a validity gate at session creation
@@ -42,6 +46,7 @@ count under tenant churn (overflow collapses into ``_other_``).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import threading
 import time
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.api.errors import Internal, InvalidRequest, NotFound, Overloaded
-from repro.api.events import RunCancelled, RunCompleted
+from repro.api.events import CancellationToken, RunCompleted
 from repro.api.wire import request_from_wire, run_to_wire
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -122,8 +127,7 @@ class _ServiceRun:
     priority: int
     request: object
     state: str = "queued"  # queued | running | completed | cancelled | failed
-    future: object = None
-    cancel_requested: bool = False
+    token: CancellationToken = field(default_factory=CancellationToken)
     record: Optional[dict] = None
     error: Optional[BaseException] = None
     submitted_at: float = field(default_factory=time.monotonic)
@@ -174,11 +178,15 @@ class _ServiceRun:
 
 
 class _CatalogEntry:
-    """One served catalog: its (lazily built) engine plus the fair
-    scheduler state for runs against it."""
+    """One served catalog: its (lazily built) engine, its workers, and
+    the fair scheduler state for runs against it."""
 
     def __init__(
-        self, name: str, factory: Callable[[], object], bases: dict = None
+        self,
+        name: str,
+        factory: Callable[[], object],
+        bases: dict,
+        lock: threading.RLock,
     ):
         self.name = name
         self.factory = factory
@@ -190,11 +198,25 @@ class _CatalogEntry:
         self.queues: Dict[str, deque] = {}
         # Round-robin pointer: tenants already served this cycle.
         self.rr: deque = deque()
-        self.slots = 0  # free engine workers (set when engine is built)
         self.active = 0  # dispatched, not yet resolved
+        # Worker threads (started with the engine); they wait on `ready`
+        # (over the service lock) for queued runs or the drain.
+        self.workers: list = []
+        self.ready = threading.Condition(lock)
 
     def queued_count(self) -> int:
         return sum(len(q) for q in self.queues.values())
+
+
+def _accepts_metrics(factory) -> bool:
+    """True when ``factory`` can be called with ``metrics=``."""
+    try:
+        parameters = inspect.signature(factory).parameters.values()
+    except (TypeError, ValueError):  # no introspectable signature
+        return False
+    return any(
+        p.name == "metrics" or p.kind is p.VAR_KEYWORD for p in parameters
+    )
 
 
 class DiscoveryService:
@@ -239,8 +261,10 @@ class DiscoveryService:
         self.config = config or ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         bases = bases or {}
+        self._lock = threading.RLock()
+        self._idle = threading.Condition(self._lock)
         self._entries = {
-            name: _CatalogEntry(name, factory, bases.get(name))
+            name: _CatalogEntry(name, factory, bases.get(name), self._lock)
             for name, factory in catalogs.items()
         }
         self._quotas = TenantQuotas(
@@ -251,8 +275,6 @@ class DiscoveryService:
         self._session_seq = itertools.count(1)
         self._run_seq = itertools.count(1)
         self._draining = False
-        self._lock = threading.RLock()
-        self._idle = threading.Condition(self._lock)
         self._init_metrics()
 
     def _init_metrics(self) -> None:
@@ -376,11 +398,15 @@ class DiscoveryService:
             return engine
         # Factory call outside the service lock (it may open stores,
         # generate corpora, ...); first-build races are settled under
-        # the lock below and the loser's engine is shut down.
+        # the lock below and the loser's engine is dropped.  Whether
+        # the factory takes the shared registry is read off its
+        # signature: a TypeError raised *inside* it is a failure like
+        # any other, never a cue to call it a second time.
         try:
-            built = entry.factory(metrics=self.metrics)
-        except TypeError:
-            built = entry.factory()
+            if _accepts_metrics(entry.factory):
+                built = entry.factory(metrics=self.metrics)
+            else:
+                built = entry.factory()
         except Exception as error:
             raise Internal(
                 f"catalog {catalog!r} failed to open: {error}"
@@ -388,17 +414,23 @@ class DiscoveryService:
         with self._lock:
             if entry.engine is None:
                 entry.engine = built
-                entry.slots = built.max_workers
+                for index in range(built.max_workers):
+                    worker = threading.Thread(
+                        target=self._work,
+                        args=(entry,),
+                        name=f"repro-serve-{catalog}-{index}",
+                        daemon=True,
+                    )
+                    entry.workers.append(worker)
+                    worker.start()
                 return built
-            winner = entry.engine
-        built.shutdown(wait=False)
-        return winner
+            return entry.engine
 
     # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
     def submit(self, session_id: str, payload: dict, priority: int = 0) -> dict:
-        """Admit, queue, and (when a slot is free) dispatch one run.
+        """Admit one run and queue it for the catalog's workers.
 
         Returns the run's description (``state`` is ``queued`` or
         ``running``).  Raises :class:`NotFound` for a bad session,
@@ -421,14 +453,7 @@ class DiscoveryService:
         engine = self._engine_for(catalog)
         entry = self._entries[catalog]
         with self._lock:
-            if self._draining:
-                self._m_requests.labels(
-                    tenant=tenant, outcome="rejected_draining"
-                ).inc()
-                raise Overloaded(
-                    "service is draining; run not admitted",
-                    retry_after=self.config.overload_retry_after,
-                )
+            self._refuse_if_draining_locked(tenant)
         # Quota gate first: a rate-limited tenant must be refused before
         # it can occupy queue capacity (never queue starvation).
         admitted, retry_after = self._quotas.try_acquire(tenant)
@@ -456,6 +481,9 @@ class DiscoveryService:
             self._m_requests.labels(tenant=tenant, outcome="invalid").inc()
             raise
         with self._lock:
+            # Checked again: a drain that began while this request was
+            # parsed has already stopped the workers that would take it.
+            self._refuse_if_draining_locked(tenant)
             if entry.queued_count() >= self.config.max_queue_depth:
                 self._m_requests.labels(
                     tenant=tenant, outcome="rejected_queue"
@@ -485,12 +513,22 @@ class DiscoveryService:
             self._m_queue_depth.labels(catalog=catalog).set(
                 float(entry.queued_count())
             )
+            entry.ready.notify()
+            described = run.describe()
         _log.info(
             "run admitted", run_id=run.run_id, tenant=tenant, catalog=catalog
         )
-        self._pump(entry)
-        with self._lock:
-            return run.describe()
+        return described
+
+    def _refuse_if_draining_locked(self, tenant: str) -> None:
+        if self._draining:
+            self._m_requests.labels(
+                tenant=tenant, outcome="rejected_draining"
+            ).inc()
+            raise Overloaded(
+                "service is draining; run not admitted",
+                retry_after=self.config.overload_retry_after,
+            )
 
     def status(self, run_id: str) -> dict:
         """Current description of one run (terminal states carry the
@@ -514,46 +552,34 @@ class DiscoveryService:
                 raise NotFound(f"unknown run {run_id!r}")
             if run.terminal:
                 return run.describe()
-            entry = self._entries[run.catalog]
             if run.state == "queued":
-                queue = entry.queues.get(run.tenant)
-                if queue is not None and run in queue:
-                    queue.remove(run)
+                entry = self._entries[run.catalog]
+                entry.queues[run.tenant].remove(run)
                 self._finalize_locked(run, "cancelled", synthesize=True)
                 self._m_queue_depth.labels(catalog=run.catalog).set(
                     float(entry.queued_count())
                 )
                 return run.describe()
-            run.cancel_requested = True
-            future = run.future
-        # Executing (or racing dispatch): fire the token outside the
-        # lock; resolution flows through the future's done callback.  A
-        # cancel that lands in the dispatch window (state "running",
-        # future not yet attached) is caught by the flag — _pump checks
-        # it right after attaching the future.
-        if future is not None:
-            future.cancel()
+            run.token.cancel()
+            described = run.describe()
         _log.info("run cancel requested", run_id=run_id)
-        with self._lock:
-            return run.describe()
+        return described
 
     # ------------------------------------------------------------------
     # Fair dispatch
     # ------------------------------------------------------------------
-    def _pump(self, entry: _CatalogEntry) -> None:
-        """Dispatch queued runs into free engine slots, fairly.
-
-        Tenants are served round-robin (the ``rr`` deque rotates); within
-        a tenant the highest priority wins, FIFO inside a priority
-        level.  Runs are picked under the lock but handed to
-        ``engine.submit`` outside it.
-        """
+    def _work(self, entry: _CatalogEntry) -> None:
+        """Body of one catalog worker: take the next run fairly, serve
+        it, repeat; return once the service drains and nothing is
+        queued."""
         while True:
             with self._lock:
                 run = self._pick_locked(entry)
-                if run is None:
-                    return
-                entry.slots -= 1
+                while run is None:
+                    if self._draining:
+                        return
+                    entry.ready.wait()
+                    run = self._pick_locked(entry)
                 entry.active += 1
                 run.state = "running"
                 run.started_at = time.monotonic()
@@ -566,21 +592,15 @@ class DiscoveryService:
                 self._m_queue_wait.labels(tenant=run.tenant).observe(
                     run.started_at - run.submitted_at
                 )
-                engine = entry.engine
-            future = engine.submit(run.request, progress=run.push_event)
-            with self._lock:
-                run.future = future
-                cancel_raced = run.cancel_requested
-            if cancel_raced:
-                future.cancel()
-            future.add_done_callback(
-                lambda f, run=run, entry=entry: self._resolve(entry, run, f)
-            )
+            self._execute(entry, run)
 
     def _pick_locked(self, entry: _CatalogEntry):
-        """Next run to dispatch, or ``None`` (lock held by caller)."""
-        if entry.slots <= 0 or entry.engine is None:
-            return None
+        """Next run to serve, or ``None`` (lock held by caller).
+
+        Tenants are served round-robin (the ``rr`` deque rotates);
+        within a tenant the highest priority wins, FIFO inside a
+        priority level.
+        """
         for _ in range(len(entry.rr)):
             tenant = entry.rr[0]
             entry.rr.rotate(-1)
@@ -592,31 +612,26 @@ class DiscoveryService:
             return best
         return None
 
-    def _resolve(self, entry: _CatalogEntry, run: _ServiceRun, future) -> None:
-        """Done-callback of one dispatched run (worker thread)."""
+    def _execute(self, entry: _CatalogEntry, run: _ServiceRun) -> None:
+        """Serve one run on the calling worker and record its outcome."""
         record = None
         error: Optional[BaseException] = None
-        status = "completed"
         try:
-            result = future.result(timeout=0)
+            result = entry.engine.discover(
+                run.request, progress=run.push_event, cancel=run.token
+            )
             status = "cancelled" if result.cancelled else "completed"
             record = run_to_wire(result)
-        except RunCancelled:
-            # Cancelled while queued inside the engine pool: no engine
-            # run ever existed, so the terminal event is synthesized.
-            status = "cancelled"
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
             status = "failed"
             error = exc
             _log.error("run failed", run_id=run.run_id, error=repr(exc))
         with self._lock:
-            entry.slots += 1
             entry.active -= 1
             run.record = record
             run.error = error
             self._finalize_locked(run, status, synthesize=record is None)
             self._m_active.labels(catalog=entry.name).set(float(entry.active))
-        self._pump(entry)
 
     def _finalize_locked(
         self, run: _ServiceRun, status: str, synthesize: bool
@@ -700,7 +715,7 @@ class DiscoveryService:
                         "engine_built": entry.engine is not None,
                         "queued": entry.queued_count(),
                         "active": entry.active,
-                        "free_slots": entry.slots,
+                        "workers": len(entry.workers),
                     }
                     for name, entry in self._entries.items()
                 },
@@ -711,16 +726,18 @@ class DiscoveryService:
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = None) -> bool:
         """Graceful drain: refuse new work, cancel queued runs, wait for
-        executing runs, shut engines down.
+        executing runs, stop the workers.
 
         Returns ``True`` when every run reached a terminal state within
         ``timeout`` (default :attr:`ServiceConfig.drain_timeout`).
-        Idempotent.
+        Idempotent.  After an unclean drain the workers still busy exit
+        as soon as their run ends.
         """
         timeout = self.config.drain_timeout if timeout is None else timeout
+        deadline = time.monotonic() + max(0.0, timeout)
         with self._lock:
             self._draining = True
-            # Queued runs never got a slot; they end here, cancelled.
+            # Queued runs never reached a worker; they end here, cancelled.
             for entry in self._entries.values():
                 for queue in entry.queues.values():
                     while queue:
@@ -728,17 +745,17 @@ class DiscoveryService:
                             queue.popleft(), "cancelled", synthesize=True
                         )
                 self._m_queue_depth.labels(catalog=entry.name).set(0.0)
-            deadline = time.monotonic() + max(0.0, timeout)
+                # Idle workers see the drain and exit.
+                entry.ready.notify_all()
             clean = True
             while any(e.active for e in self._entries.values()):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._idle.wait(timeout=remaining):
                     clean = False
                     break
-            engines = [
-                e.engine for e in self._entries.values() if e.engine is not None
-            ]
-        for engine in engines:
-            engine.shutdown(wait=clean)
+            workers = [w for e in self._entries.values() for w in e.workers]
+        if clean:
+            for worker in workers:
+                worker.join(timeout=max(0.0, deadline - time.monotonic()))
         _log.info("service drained", clean=clean)
         return clean

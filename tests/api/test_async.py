@@ -1,7 +1,11 @@
-"""Async serving: ``engine.submit``, futures, and striped preparation."""
+"""Concurrent serving: single-flight ``discover()`` and striped
+preparation.  The engine serves on its callers' threads; these tests
+are those callers."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from repro.api import (
     CancellationToken,
     DiscoveryEngine,
     DiscoveryRequest,
-    RunCancelled,
 )
 from repro.core.config import MetamConfig
 from repro.data import clustering_scenario
@@ -32,90 +35,43 @@ def request_for(scenario, seed=0):
     )
 
 
+def in_thread(fn, *args, **kwargs):
+    """Start ``fn`` on a thread; returns ``(thread, box)`` where ``box``
+    receives the return value."""
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(fn(*args, **kwargs)), daemon=True
+    )
+    thread.start()
+    return thread, box
+
+
 class TestSubmit:
-    def test_submit_matches_discover(self, scenario):
-        sync_engine = DiscoveryEngine(corpus=scenario.corpus)
-        reference = sync_engine.discover(request_for(scenario))
-
-        engine = DiscoveryEngine(corpus=scenario.corpus)
-        future = engine.submit(request_for(scenario))
-        run = future.result(timeout=120)
-        assert future.done()
-        assert run.completed
-        assert run.result.selected == reference.result.selected
-        assert run.result.trace == reference.result.trace
-        engine.shutdown()
-
-    def test_concurrent_submits_share_prepare(self, scenario):
-        engine = DiscoveryEngine(corpus=scenario.corpus, max_workers=4)
-        futures = [
-            engine.submit(request_for(scenario, seed=seed)) for seed in range(4)
-        ]
-        runs = [f.result(timeout=300) for f in futures]
-        assert all(run.completed for run in runs)
-        stats = engine.stats()
-        assert stats["prepared_candidate_sets"] == 1  # prepare_seed pinned
-        assert stats["runs_completed"] == 4
-        assert stats["async_pool_active"]
-        engine.shutdown()
-        assert not engine.stats()["async_pool_active"]
-
-    def test_queued_submit_cancelled_before_start(self, scenario):
-        engine = DiscoveryEngine(corpus=scenario.corpus, max_workers=1)
-        engine.prepare(scenario.base, seed=0)
-        gate = threading.Event()
-        release = threading.Event()
-
-        def blocking_progress(event):
-            gate.set()
-            release.wait(timeout=60)
-
-        first = engine.submit(request_for(scenario), progress=blocking_progress)
-        queued = engine.submit(request_for(scenario, seed=1))
-        assert gate.wait(timeout=60)  # first run occupies the only worker
-        queued.cancel()
-        release.set()
-        with pytest.raises(RunCancelled):
-            queued.result(timeout=60)
-        assert first.result(timeout=120).completed
-        engine.shutdown()
+    """A run cancelled mid-search, the context manager, and
+    ``max_workers`` validation."""
 
     def test_cancel_mid_run_resolves_to_cancelled_run(self, scenario):
         engine = DiscoveryEngine(corpus=scenario.corpus)
         token = CancellationToken()
-        seen = []
 
         def progress(event):
-            seen.append(event)
             if event.kind == "query-issued" and event.query_index >= 2:
                 token.cancel()
 
-        future = engine.submit(
-            request_for(scenario), progress=progress, cancel=token
+        thread, box = in_thread(
+            engine.discover, request_for(scenario), progress=progress,
+            cancel=token,
         )
-        run = future.result(timeout=120)
+        thread.join(timeout=120)
+        (run,) = box
         assert run.cancelled
         assert run.result is None
-        assert future.cancel_token is token
-        engine.shutdown()
-
-    def test_done_callback_fires(self, scenario):
-        engine = DiscoveryEngine(corpus=scenario.corpus)
-        resolved = []
-        future = engine.submit(request_for(scenario))
-        future.add_done_callback(lambda f: resolved.append(f.result().status))
-        future.result(timeout=120)
-        engine.shutdown()  # drains the pool; callback has run by now
-        assert resolved == ["completed"]
 
     def test_context_manager_shuts_down(self, scenario):
         with DiscoveryEngine(corpus=scenario.corpus) as engine:
-            run = engine.submit(request_for(scenario)).result(timeout=120)
-            assert run.completed
-        assert not engine.stats()["async_pool_active"]
-        # The engine stays usable after shutdown: a new submit lazily
-        # rebuilds the pool.
-        assert engine.submit(request_for(scenario)).result(timeout=120).completed
+            assert engine.discover(request_for(scenario)).completed
+        # Shutting down releases nothing the engine still needs.
+        assert engine.discover(request_for(scenario, seed=1)).completed
         engine.shutdown()
 
     def test_max_workers_validated(self, scenario):
@@ -135,7 +91,7 @@ TASK_OPTIONS = {
 
 def cacheable_request(scenario, seed=0):
     """A request with a canonical identity (name-based task), so the
-    engine's result cache — and submit's in-flight reservations —
+    engine's result cache — and discover's in-flight reservations —
     apply."""
     return DiscoveryRequest(
         base=scenario.base,
@@ -148,126 +104,193 @@ def cacheable_request(scenario, seed=0):
     )
 
 
+def second_lookup(engine):
+    """An Event set at the engine's second result-cache lookup: the
+    moment a second caller has looked for the first one's record."""
+    seen = threading.Event()
+    lookups = []
+    original = engine._results.get
+
+    def get(key, *args):
+        lookups.append(key)
+        if len(lookups) >= 2:
+            seen.set()
+        return original(key, *args)
+
+    engine._results.get = get
+    return seen
+
+
+def parked(until, then=None):
+    """A progress callback that parks its run at the first event until
+    ``until`` is set, then calls ``then``.  ``progress.started`` is set
+    once the run has parked, i.e. holds its reservation."""
+    started = threading.Event()
+
+    def progress(_event):
+        started.set()
+        assert until.wait(timeout=60), "the run was never released"
+        if then is not None:
+            then()
+
+    progress.started = started
+    return progress
+
+
 class TestReservations:
-    """Result-cache slot reservations for in-flight submits."""
+    """Single-flight: result-cache slot reservations of in-flight
+    ``discover()`` calls."""
 
-    def _blocked_engine(self, scenario):
-        """An engine whose single worker is pinned by a long run,
-        so further submissions stay queued."""
-        engine = DiscoveryEngine(
-            corpus=scenario.corpus, max_workers=1, result_cache_bytes=CACHE
-        )
-        engine.prepare(scenario.base, seed=0)
-        gate = threading.Event()
-        release = threading.Event()
-
-        def blocking_progress(event):
-            gate.set()
-            release.wait(timeout=60)
-
-        blocker = engine.submit(
-            request_for(scenario, seed=7), progress=blocking_progress
-        )
-        assert gate.wait(timeout=60)
-        return engine, blocker, release
-
-    def test_cancelled_queued_future_releases_reservation(self, scenario):
-        """The regression: a cacheable submit cancelled while still
-        queued never executes, so its reservation must be released by
-        the future's done callback — anything else leaks the slot until
-        shutdown (and strands any follower waiting on it)."""
-        engine, blocker, release = self._blocked_engine(scenario)
-        queued = engine.submit(cacheable_request(scenario))
-        assert engine.stats()["result_cache_reserved"] == 1
-        queued.cancel()
-        # Cancellation of a queued future resolves it immediately; the
-        # done callback must have dropped the reservation right here,
-        # not at shutdown.
-        assert engine.stats()["result_cache_reserved"] == 0
-        release.set()
-        with pytest.raises(RunCancelled):
-            queued.result(timeout=60)
-        assert blocker.result(timeout=120).completed
-        engine.shutdown()
-        assert engine.stats()["result_cache_reserved"] == 0
-
-    def test_follower_not_stranded_by_cancelled_owner(self, scenario):
-        """A follower waiting on a reservation whose owner is cancelled
-        while queued must run its own search, not wait forever."""
-        engine, blocker, release = self._blocked_engine(scenario)
-        owner = engine.submit(cacheable_request(scenario))
-        follower = engine.submit(cacheable_request(scenario))
-        assert engine.stats()["result_cache_reserved"] == 1
-        owner.cancel()
-        assert engine.stats()["result_cache_reserved"] == 0
-        release.set()
-        run = follower.result(timeout=120)
-        assert run.completed
-        assert not run.cached  # the owner never populated the cache
-        assert blocker.result(timeout=120).completed
-        engine.shutdown()
-
-    def test_identical_inflight_submits_run_once(self, scenario):
-        """Single-flight: an identical request submitted while one is
-        in flight waits for the owner and replays its record instead of
-        searching twice."""
-        engine = DiscoveryEngine(
-            corpus=scenario.corpus, max_workers=2, result_cache_bytes=CACHE
-        )
-        engine.prepare(scenario.base, seed=0)
-        owner = engine.submit(cacheable_request(scenario))
-        follower = engine.submit(cacheable_request(scenario))
-        first = owner.result(timeout=120)
-        second = follower.result(timeout=120)
-        assert first.completed and not first.cached
-        assert second.cached
-        assert second.result.selected == first.result.selected
-        stats = engine.stats()
-        assert stats["result_cache_hits"] == 1
-        assert stats["result_cache_reserved"] == 0
-        engine.shutdown()
-
-    def test_racing_identical_submits_never_deadlock(self, scenario):
-        """Reservation registration and enqueueing are atomic: across
-        many racing identical submits on a single worker, a follower
-        can never land in the queue ahead of its owner (which would
-        park the only worker on wait() forever)."""
-        engine = DiscoveryEngine(
-            corpus=scenario.corpus, max_workers=1, result_cache_bytes=CACHE
-        )
-        engine.prepare(scenario.base, seed=0)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = list(
-                pool.map(
-                    lambda _: engine.submit(cacheable_request(scenario)),
-                    range(4),
-                )
-            )
-        runs = [f.result(timeout=300) for f in futures]
-        assert all(run.completed for run in runs)
-        first = [run for run in runs if not run.cached]
-        assert len(first) == 1  # the search executed exactly once
-        assert engine.stats()["result_cache_reserved"] == 0
-        engine.shutdown()
-
-    def test_reservation_released_after_normal_completion(self, scenario):
+    def _engine(self, scenario):
         engine = DiscoveryEngine(
             corpus=scenario.corpus, result_cache_bytes=CACHE
         )
-        future = engine.submit(cacheable_request(scenario))
-        assert future.result(timeout=120).completed
+        engine.prepare(scenario.base, seed=0)
+        return engine
+
+    def test_identical_inflight_submits_run_once(self, scenario):
+        """An identical call that arrives while the first is searching
+        waits for it and replays its record instead of searching."""
+        engine = self._engine(scenario)
+        arrived = second_lookup(engine)
+        progress = parked(arrived)
+        owner_thread, owner = in_thread(
+            engine.discover, cacheable_request(scenario), progress=progress
+        )
+        assert progress.started.wait(timeout=60)
+        follower_thread, follower = in_thread(
+            engine.discover, cacheable_request(scenario)
+        )
+        owner_thread.join(timeout=120)
+        follower_thread.join(timeout=120)
+        (first,), (second,) = owner, follower
+        assert first.completed and not first.cached
+        assert second.completed and second.cached
+        assert second.result.selected == first.result.selected
+        assert second.result.trace == first.result.trace
+        stats = engine.stats()
+        assert stats["result_cache_misses"] == 1
+        assert stats["result_cache_hits"] == 1
+        assert stats["result_cache_reserved"] == 0
+
+    def test_racing_identical_submits_never_deadlock(self, scenario):
+        """Many identical calls racing on one engine all finish, and
+        the search runs exactly once."""
+        engine = self._engine(scenario)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(
+                pool.map(
+                    lambda _: engine.discover(cacheable_request(scenario)),
+                    range(4),
+                    timeout=300,
+                )
+            )
+        assert all(run.completed for run in runs)
+        assert len([run for run in runs if not run.cached]) == 1
         assert engine.stats()["result_cache_reserved"] == 0
-        engine.shutdown()
+
+    def test_stress_each_request_searched_once(self, scenario):
+        """More threads than cores, forced frequent thread switches:
+        a lost update to the reservation table would let a second
+        identical call search."""
+        engine = self._engine(scenario)
+        requests = [cacheable_request(scenario, seed=i % 3) for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                runs = list(pool.map(engine.discover, requests, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run.completed for run in runs)
+        assert len([run for run in runs if not run.cached]) == 3
+        stats = engine.stats()
+        assert stats["result_cache_misses"] == 3
+        assert stats["result_cache_hits"] == 9
+        assert stats["result_cache_reserved"] == 0
+
+    def test_reservation_released_after_normal_completion(self, scenario):
+        engine = self._engine(scenario)
+        during = []
+        run = engine.discover(
+            cacheable_request(scenario),
+            progress=lambda _e: during.append(
+                engine.stats()["result_cache_reserved"]
+            ),
+        )
+        assert run.completed
+        assert set(during) == {1}
+        assert engine.stats()["result_cache_reserved"] == 0
+
+    def test_failed_owner_releases_reservation(self, scenario):
+        engine = self._engine(scenario)
+        request = replace(
+            cacheable_request(scenario), options={"no_such_option": 1}
+        )
+        assert engine._result_cache_key(request) is not None
+        with pytest.raises(ValueError, match="no_such_option"):
+            engine.discover(request)
+        assert engine.stats()["result_cache_reserved"] == 0
+
+    def test_follower_not_stranded_by_cancelled_owner(self, scenario):
+        """An owner cancelled mid-search admits no record; its waiting
+        follower then searches itself instead of waiting forever."""
+        engine = self._engine(scenario)
+        arrived = second_lookup(engine)
+        token = CancellationToken()
+        progress = parked(arrived, then=token.cancel)
+        owner_thread, owner = in_thread(
+            engine.discover, cacheable_request(scenario),
+            progress=progress, cancel=token,
+        )
+        assert progress.started.wait(timeout=60)
+        follower_thread, follower = in_thread(
+            engine.discover, cacheable_request(scenario)
+        )
+        owner_thread.join(timeout=120)
+        follower_thread.join(timeout=120)
+        (cancelled,), (run,) = owner, follower
+        assert cancelled.cancelled
+        assert run.completed
+        assert not run.cached  # the owner never populated the cache
+        assert engine.stats()["result_cache_reserved"] == 0
+
+    def test_cancelled_follower_stops_waiting(self, scenario):
+        """A waiting follower whose own token fires returns a cancelled
+        run without waiting for the owner."""
+        engine = self._engine(scenario)
+        arrived = second_lookup(engine)
+        release = threading.Event()
+        progress = parked(release)
+        owner_thread, owner = in_thread(
+            engine.discover, cacheable_request(scenario), progress=progress
+        )
+        assert progress.started.wait(timeout=60)
+        token = CancellationToken()
+        follower_thread, follower = in_thread(
+            engine.discover, cacheable_request(scenario), cancel=token
+        )
+        assert arrived.wait(timeout=60)
+        token.cancel()
+        follower_thread.join(timeout=60)
+        (run,) = follower
+        assert run.cancelled
+        release.set()
+        owner_thread.join(timeout=120)
+        assert owner[0].completed and not owner[0].cached
 
     def test_uncacheable_submits_take_no_reservation(self, scenario):
-        engine, blocker, release = self._blocked_engine(scenario)
+        engine = self._engine(scenario)
+        during = []
         # Task objects have no canonical identity — uncacheable.
-        queued = engine.submit(request_for(scenario, seed=3))
-        assert engine.stats()["result_cache_reserved"] == 0
-        queued.cancel()
-        release.set()
-        assert blocker.result(timeout=120).completed
-        engine.shutdown()
+        run = engine.discover(
+            request_for(scenario, seed=3),
+            progress=lambda _e: during.append(
+                engine.stats()["result_cache_reserved"]
+            ),
+        )
+        assert run.completed and not run.cached
+        assert set(during) == {0}
 
 
 class TestStripedPrepare:

@@ -226,6 +226,22 @@ class TestErrorMapping:
         status, body, _ = client.request("POST", "/v1/sessions")
         assert status == 400
 
+    def test_malformed_content_length_is_400(self, served):
+        _, client = served
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/sessions")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["error"]["code"] == "invalid-request"
+        assert "Content-Length" in body["error"]["message"]
+
     def test_unsupported_method_is_400(self, served):
         _, client = served
         sid = open_session(client)

@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
-from repro.api.errors import InvalidRequest, NotFound, Overloaded
-from repro.server import ServiceConfig, TokenBucket
+from repro.api import DiscoveryEngine
+from repro.api.errors import Internal, InvalidRequest, NotFound, Overloaded
+from repro.data import generate_corpus
+from repro.server import DiscoveryService, ServiceConfig, TokenBucket
 
 
 class TestSessions:
@@ -51,6 +53,36 @@ class TestSessions:
         h.session("b")
         with pytest.raises(Overloaded):
             h.session("c")
+
+    def test_factory_type_error_is_one_call_and_typed(self):
+        """A TypeError raised inside a factory that takes ``metrics`` is
+        a failure like any other: one call, a typed error back."""
+        calls = []
+
+        def factory(metrics=None):
+            calls.append(metrics)
+            raise TypeError("bad corpus parameters")
+
+        service = DiscoveryService({"broken": factory})
+        with pytest.raises(Internal, match="bad corpus parameters"):
+            service.create_session("acme")
+        assert calls == [service.metrics]
+        assert service.shutdown(timeout=1)
+
+    def test_factory_without_metrics_called_bare(self):
+        corpus = generate_corpus(3, seed=0)
+        calls = []
+
+        def factory():
+            calls.append(None)
+            return DiscoveryEngine(corpus=corpus, max_workers=2)
+
+        service = DiscoveryService({"bare": factory})
+        service.create_session("acme")
+        service.create_session("globex")
+        assert len(calls) == 1
+        assert service.stats()["catalogs"]["bare"]["workers"] == 2
+        assert service.shutdown(timeout=5)
 
 
 class TestAdmission:
@@ -274,6 +306,15 @@ class TestDrain:
         drainer.join(timeout=30)
         assert verdict == [True]
         assert h.service.status(running["run_id"])["state"] == "completed"
+
+    def test_drain_stops_workers(self, make_harness):
+        h = make_harness(max_workers=3)
+        sid = h.session("acme")
+        h.wait_terminal(h.service.submit(sid, h.payload())["run_id"])
+        workers = h.service._entries["default"].workers
+        assert len(workers) == 3 and all(w.is_alive() for w in workers)
+        assert h.service.shutdown(timeout=10)
+        assert not any(w.is_alive() for w in workers)
 
     def test_drain_refuses_new_work(self, harness):
         sid = harness.session()
