@@ -26,13 +26,17 @@ The engine serves on the caller's thread and owns no threads of its
 own; queueing and worker pools belong to the caller (the
 :class:`~repro.server.DiscoveryService` is the one scheduler).  An
 optional result cache (``result_cache_bytes``) serves repeated identical
-requests from their recorded runs without re-searching; with
-``persist_results=True`` (and a store-backed catalog) completed run
-records additionally spill into the catalog store under content-
-addressed keys, so repeated requests warm-start across processes and
-survive restarts.  ``discover`` is single-flight for cacheable requests:
-the first of several identical concurrent calls *reserves* the cache
-slot and searches, the others wait for it and replay its record.
+requests from their recorded runs without re-searching.  It is one
+content-addressed tier: a request's key digests everything its outcome
+depends on (base table, profile registry, request descriptor, whole-
+corpus content, catalog config, library version), an in-memory LRU
+front serves hot keys, and — when the attached catalog has a store —
+the store holds the records, so repeated requests warm-start across
+processes and survive restarts.  Changed content simply keys elsewhere;
+nothing is ever invalidated.  ``discover`` is single-flight for
+cacheable requests: the first of several identical concurrent calls
+*reserves* the cache slot and searches, the others wait for it and
+replay its record.
 
 A :class:`~repro.catalog.CatalogRefresher` can be attached
 (:meth:`attach_refresher`): the engine then swaps the refresher's
@@ -49,6 +53,7 @@ import time
 from collections import deque
 import weakref
 from dataclasses import replace
+from typing import NamedTuple
 
 from repro.api.events import (
     AugmentationAccepted,
@@ -102,6 +107,28 @@ class EngineStateError(RuntimeError):
     """The engine is missing state a call needs (usually a corpus)."""
 
 
+#: The catalog-config part of a result key when no catalog is attached.
+_NO_CATALOG = "no-catalog"
+
+
+class _ResultKey(NamedTuple):
+    """One cacheable request's key in the result tier.
+
+    ``digest`` is the content-addressed key (see
+    :meth:`DiscoveryEngine._keyed`) under which the store holds the
+    record; the memory front adds the registry mutation counts."""
+
+    base_fp: str
+    registry_fp: str
+    descriptor: str
+    registries: tuple  # (searchers.mutations, tasks.mutations)
+    digest: str = None
+
+    @property
+    def memory(self) -> tuple:
+        return (self.digest,) + self.registries
+
+
 class DiscoveryEngine:
     """Serves goal-oriented discovery requests over one corpus + catalog.
 
@@ -113,7 +140,8 @@ class DiscoveryEngine:
     catalog:
         Optional persistent :class:`~repro.catalog.Catalog` — switches
         candidate preparation to warm-start mode (incremental refresh +
-        profile-vector cache).
+        profile-vector cache); a store-backed one also holds the result
+        cache's records (see ``result_cache_bytes``).
     profile_registry:
         Default profile registry for candidate preparation (``None`` =
         :func:`~repro.profiles.registry.default_registry`).
@@ -140,25 +168,18 @@ class DiscoveryEngine:
         against it, and ``compare_searchers(parallel=True)`` fans out at
         most this many ``discover`` calls.
     result_cache_bytes:
-        Byte budget of the engine-level result cache (measured as the
-        JSON run-record size, LRU-evicted).  ``0``/``None`` (default)
-        disables it.  Cached runs are exact replays — the recorded
-        result, events, and timings — keyed by a canonical request
-        fingerprint, and the cache is invalidated whenever the corpus
-        or catalog content changes.
-    persist_results:
-        Add the result cache's on-disk tier: completed cacheable runs
-        spill their JSON records into the attached catalog's store,
-        keyed by a content-addressed request fingerprint (base table
-        content + registry + request descriptor + whole-corpus content
-        + catalog config + library version), so identical requests
-        replay across processes and restarts.  Where the in-memory tier
-        invalidates by in-process counters (corpus epoch, catalog
-        mutation count), the persistent tier's keys *embed* the content
-        those counters track — a changed corpus simply makes old
-        records unreachable, and reverting the content makes them valid
-        again.  Requires ``result_cache_bytes``; quietly inactive until
-        a store-backed catalog is attached.
+        Byte budget of the result tier's in-memory front (measured as
+        the JSON run-record size, LRU-evicted).  ``0``/``None``
+        (default) disables the result cache.  Cached runs are exact
+        replays — the recorded result, events, and timings — keyed by a
+        content digest of the request (base table content + registry +
+        request descriptor + whole-corpus content + catalog config +
+        library version): changed content keys elsewhere, and
+        reverting it makes the old records reachable again.  While a
+        store-backed catalog is attached, completed runs are also
+        written to its store under the same key, so identical requests
+        replay across processes and restarts (disk use is bounded by
+        ``repro catalog gc --result-budget``).
     refresher:
         Optional :class:`~repro.catalog.CatalogRefresher` to adopt
         snapshots from (see :meth:`attach_refresher`).
@@ -193,7 +214,6 @@ class DiscoveryEngine:
         striped_prepare: bool = True,
         max_workers: int = 4,
         result_cache_bytes: int = None,
-        persist_results: bool = False,
         refresher=None,
         staleness_budget: float = None,
         metrics=None,
@@ -207,17 +227,14 @@ class DiscoveryEngine:
             ) from None
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if persist_results and not result_cache_bytes:
-            raise ValueError(
-                "persist_results requires result_cache_bytes (the on-disk "
-                "tier extends the result cache, it does not replace it)"
-            )
         self.catalog = catalog
         self.searchers = searchers if searchers is not None else default_searchers()
         self.tasks = tasks if tasks is not None else default_tasks()
         self.scenarios = scenarios if scenarios is not None else default_scenarios()
         self._profile_registry = profile_registry
         self._corpus = None
+        #: Bumped on every corpus swap; guards prepared-candidate
+        #: admission (a prepare that raced a swap is not cached).
         self._corpus_epoch = 0
         self._lock = threading.RLock()
         # Catalog mutations (refresh/save, lazy index paging, profile
@@ -235,7 +252,6 @@ class DiscoveryEngine:
         else:
             self._results = None  # disabled
         self.result_cache_bytes = result_cache_bytes
-        self.persist_results = bool(persist_results)
         #: In-flight reservations of result-cache slots: cache-key prefix
         #: -> threading.Event set when the owning discover() call returns
         #: or raises (single-flight; see :meth:`_claim`).
@@ -260,10 +276,11 @@ class DiscoveryEngine:
         #: stale digest would replay runs recorded under the old
         #: profile set.
         self._table_fp_memo = {}
-        #: Registry mutation counts at construction: the persistent
-        #: result tier stays active only while they are unchanged (a
-        #: factory re-registered mid-life has no content identity the
-        #: on-disk keys could carry, so the tier goes conservative).
+        #: Registry mutation counts at construction: the result store
+        #: is read and written only while they are unchanged (a factory
+        #: re-registered mid-life has no content identity the shared
+        #: keys could carry, so the store steps aside; the memory front
+        #: keys on the counts instead).
         self._registry_baseline = (self.searchers.mutations, self.tasks.mutations)
         self._next_run_id = 1
         if metrics is False:
@@ -308,7 +325,8 @@ class DiscoveryEngine:
         )
         self._m_result_cache = registry.counter(
             "repro_engine_result_cache_events_total",
-            "Result-cache activity (store_hit rides along with hit).",
+            "Result-cache activity (store_hit rides along with hit; "
+            "spill counts records written to the store).",
             labels=("event",),
         )
         for event in ("hit", "miss", "store_hit", "spill"):
@@ -452,6 +470,8 @@ class DiscoveryEngine:
         Accepts a ``{name: Table}`` dict or an iterable of Tables.
         Replacing the corpus drops the prepared-candidate cache — cached
         candidate sets are only valid for the corpus they were built on.
+        Recorded results stay: their keys embed the corpus content, so
+        a changed corpus misses them and an identical one replays them.
         """
         normalized = normalize_corpus(corpus)
         with self._lock:
@@ -461,7 +481,6 @@ class DiscoveryEngine:
             # Drop the content-digest memo too: it pins the previous
             # corpus dict (and every Table in it) otherwise.
             self._corpus_fp_memo = None
-            self._invalidate_results()
         return self
 
     def attach_refresher(self, refresher, staleness_budget: float = None) -> "DiscoveryEngine":
@@ -495,8 +514,8 @@ class DiscoveryEngine:
         the one being served (no-op without a refresher).
 
         Runs at request boundaries only, so the swap is atomic from any
-        run's point of view: corpus, catalog, and the caches keyed on
-        them change together under the engine locks, and runs already
+        run's point of view: corpus, catalog, and the prepared-candidate
+        cache change together under the engine locks, and runs already
         executing keep their own corpus/catalog snapshot to the end.
         """
         refresher = self._refresher
@@ -518,9 +537,10 @@ class DiscoveryEngine:
         # installing it would regress the served corpus.
         if snapshot is None or snapshot.epoch <= self._snapshot_epoch:
             return
-        # Same nesting order as the prepare path (catalog lock outside
-        # the engine lock) — never the reverse, which would deadlock
-        # against a prepare invalidating the result cache.
+        # The catalog lock guards ``self.catalog`` for the prepare path,
+        # the engine lock the corpus and caches.  This is the one place
+        # that holds both, always catalog outside engine; anything else
+        # needing both takes them one after the other (see stats()).
         with self._catalog_lock:
             with self._lock:
                 if snapshot.epoch <= self._snapshot_epoch:
@@ -530,8 +550,6 @@ class DiscoveryEngine:
                 self._corpus = dict(snapshot.corpus)
                 self._corpus_epoch += 1
                 self._prepared.clear()
-                if self._results is not None:
-                    self._results.clear()
                 # Seed the content-digest memo from the refresher's scan
                 # — the swap costs no re-fingerprinting.
                 self._corpus_fp_memo = (
@@ -678,10 +696,6 @@ class DiscoveryEngine:
                         stacklevel=3,
                     )
                 diff = catalog.refresh(corpus)
-                if diff.changed:
-                    # Changed catalog content means previously recorded
-                    # results may no longer reproduce.
-                    self._invalidate_results()
                 if (
                     catalog.store is not None
                     and (diff.added or diff.updated)
@@ -756,9 +770,9 @@ class DiscoveryEngine:
         previously completed one is served as an exact replay: the
         recorded run comes back under a fresh ``run_id`` with
         ``cached=True``, and its recorded events are re-streamed to
-        ``progress`` (they carry the original run's id).  With
-        ``persist_results``, a record spilled by an earlier process is
-        replayed the same way (and re-admitted to the in-memory tier).
+        ``progress`` (they carry the original run's id).  A record an
+        earlier process wrote to the catalog store is replayed the same
+        way (and admitted to the memory front).
 
         Cacheable requests are single-flight: while one call searches a
         request, identical calls wait for it and then replay its record
@@ -770,12 +784,13 @@ class DiscoveryEngine:
         factory = self.searchers.get(request.searcher)  # fail before any work
         self._sync_snapshot(staleness_budget)
         self.corpus  # fail fast when none is attached
-        cache_key = self._result_cache_key(request)
+        # An already-cancelled token must yield a cancelled run, not a
+        # completed replay — skip the cache and serve normally (the run
+        # stops at its first utility query, as ever).
         if cancel is not None and cancel.cancelled:
-            # An already-cancelled token must yield a cancelled run, not
-            # a completed replay — skip the cache and serve normally
-            # (the run stops at its first utility query, as ever).
             cache_key = None
+        else:
+            cache_key = self._result_cache_key(request)
         reservation = None
         if cache_key is not None:
             hit, reservation = self._claim(cache_key, cancel)
@@ -796,24 +811,21 @@ class DiscoveryEngine:
     def _claim(self, cache_key, cancel: CancellationToken = None):
         """Single-flight entry of one cacheable request.
 
-        Returns ``(hit, None)`` when the in-memory tier holds the
-        record, ``(None, reservation)`` when this call now owns the
-        key's reservation (it searches, then :meth:`_release`s it), and
+        Returns ``(hit, None)`` when the memory front holds the record,
+        ``(None, reservation)`` when this call now owns the key's
+        reservation (it searches, then :meth:`_release`s it), and
         ``(None, None)`` when ``cancel`` fired while waiting on another
         call's reservation.
         """
         while True:
             with self._lock:
-                # Lookup under the *current* catalog mutation count:
-                # out-of-band catalog changes (engine.catalog.add/...)
-                # shift the count and make older entries unreachable.
-                hit = self._results.get(cache_key + (self._catalog_mutations(),))
+                hit = self._results.get(cache_key.memory)
                 if hit is not None:
                     return hit, None
-                pending = self._reservations.get(cache_key)
+                pending = self._reservations.get(cache_key.memory)
                 if pending is None:
                     reservation = threading.Event()
-                    self._reservations[cache_key] = reservation
+                    self._reservations[cache_key.memory] = reservation
                     return None, reservation
             # An identical call is searching: wait for it, then look
             # again (it admitted its record, or it ended without one and
@@ -827,25 +839,20 @@ class DiscoveryEngine:
         """Drop the reservation this call took in :meth:`_claim` and
         wake its waiters (on every exit: completed, cancelled, raised)."""
         with self._lock:
-            reservation = self._reservations.pop(cache_key)
+            reservation = self._reservations.pop(cache_key.memory)
         reservation.set()
 
     def _discover_owned(
         self, request, task, factory, progress, cancel, cache_key
     ) -> DiscoveryRun:
-        """:meth:`discover` past the in-memory lookup: the persistent
-        tier, else a live run admitted to both tiers (with a
+        """:meth:`discover` past the memory front: the store, else a
+        live run, either one admitted to the result tier (with a
         ``cache_key``, the caller holds its reservation)."""
         if cache_key is not None:
-            stored = self._load_persistent(cache_key, request)
+            stored = self._read_store(cache_key, request)
             if stored is not None:
                 run, size = stored
-                with self._lock:
-                    # Re-admit to the in-memory tier under the current
-                    # counters, so the next identical request skips disk.
-                    self._results.put(
-                        cache_key + (self._catalog_mutations(),), run, size=size
-                    )
+                self._admit(cache_key, run, size)
                 return self._replay(run, request, progress, tier="store")
             self._m_result_cache.labels(event="miss").inc()
         with self._lock:
@@ -861,11 +868,11 @@ class DiscoveryEngine:
                 run_id,
                 progress,
                 cancel,
-                # The cache key leads with the base-table and registry
+                # The cache key carries the base-table and registry
                 # fingerprints; reuse both so a cache-enabled discover
                 # hashes each input once, not twice.
-                base_fingerprint=cache_key[0] if cache_key else None,
-                registry_fp=cache_key[1] if cache_key else None,
+                base_fingerprint=cache_key.base_fp if cache_key else None,
+                registry_fp=cache_key.registry_fp if cache_key else None,
                 context_box=context_box,
             )
         except BaseException:
@@ -874,24 +881,30 @@ class DiscoveryEngine:
             self._m_runs.labels(status="failed").inc()
             raise
         if cache_key is not None and run.completed and context_box:
+            # Re-key by the corpus and catalog the run actually searched:
+            # a swap that raced it admits the run under the content it
+            # saw, never under the content the request was looked up in.
             # Size by the JSON run record — the serializable footprint
             # the LRU budget is defined over (computed outside the lock).
-            # The key embeds the corpus epoch this run was requested
-            # under; if attach_corpus raced the search, the entry lands
-            # under the superseded epoch and no future request can hit
-            # it (their keys carry the new epoch).  The catalog mutation
-            # count was stamped after this run's prepare (it reflects
-            # the run's own catalog refresh) and before its search (a
-            # catalog mutated mid-search leaves the entry under the
-            # older, unreachable count).
+            corpus, catalog = context_box[0]
             record = run.to_record()
-            size = len(json.dumps(record).encode("utf-8"))
-            mutations, corpus_used = context_box[0]
-            with self._lock:
-                self._results.put(cache_key + (mutations,), run, size=size)
-            self._spill_persistent(cache_key, record, corpus_used)
-            self._m_result_cache.labels(event="spill").inc()
+            self._admit(
+                self._keyed(cache_key, corpus, catalog),
+                run,
+                len(json.dumps(record).encode("utf-8")),
+                record=record,
+                corpus=corpus,
+            )
         return run
+
+    def _admit(self, cache_key, run, size, record=None, corpus=None) -> None:
+        """The result tier's one admission path: the memory front
+        always, and the store for a live run's ``record`` (a store hit
+        is already there)."""
+        with self._lock:
+            self._results.put(cache_key.memory, run, size=size)
+        if record is not None and self._write_store(cache_key, record, corpus):
+            self._m_result_cache.labels(event="spill").inc()
 
     def _replay(self, hit: DiscoveryRun, request, progress, tier="memory"):
         """Serve a recorded run as an exact replay (fresh ``run_id``,
@@ -964,24 +977,11 @@ class DiscoveryEngine:
             table, self._table_fp_memo, table_fingerprint
         )
 
-    def _catalog_mutations(self) -> int:
-        """The attached catalog's structural mutation count (``-1``
-        without one) — the cache-key component that makes entries
-        recorded before any catalog change unreachable."""
-        return self.catalog.mutations if self.catalog is not None else -1
-
     def _result_cache_key(self, request: DiscoveryRequest):
-        """Cache-key prefix for ``request``, or ``None`` when uncacheable
-        (cache disabled, candidates supplied, task given as an object, or
-        options without a canonical form).
-
-        The prefix embeds the current corpus epoch: entries recorded
-        under a previous corpus are unreachable by construction, so a
-        run that races an ``attach_corpus`` can never be replayed
-        against the new corpus (the explicit clear then just reclaims
-        the memory).  Callers append the catalog mutation count — at
-        lookup time for reads, at admission time for writes (a run's own
-        prepare may legitimately refresh the catalog)."""
+        """The result tier's key for ``request`` over the attached
+        corpus and catalog, or ``None`` when uncacheable (cache
+        disabled, candidates supplied, task given as an object, or
+        options without a canonical form)."""
         if self._results is None:
             return None
         descriptor = request.cache_descriptor()
@@ -993,59 +993,63 @@ class DiscoveryEngine:
             else self.profile_registry()
         )
         with self._lock:
-            epoch = self._corpus_epoch
-        return (
+            corpus, catalog = self._corpus, self.catalog
+        key = _ResultKey(
             self._fingerprint_table(request.base),
             registry_fingerprint(registry),
             descriptor,
-            epoch,
             # Re-registering a searcher or task under the same name
             # (overwrite=True) must not replay runs of the old factory.
-            self.searchers.mutations,
-            self.tasks.mutations,
+            (self.searchers.mutations, self.tasks.mutations),
+        )
+        return self._keyed(key, corpus, catalog)
+
+    def _keyed(self, key: "_ResultKey", corpus: dict, catalog) -> "_ResultKey":
+        """``key`` with its digest taken over ``corpus`` and ``catalog``
+        — the one computation of the key the memory front and the
+        store share.  Everything a cacheable run's outcome depends on is
+        in it by content, so a replay under a matching digest is exact
+        in any process.  Catalog *contents* need no part: candidate
+        preparation re-syncs the catalog to the corpus first."""
+        from repro import __version__
+
+        return key._replace(
+            digest=result_key(
+                key.base_fp,
+                key.registry_fp,
+                key.descriptor,
+                self._corpus_content_fingerprint(corpus),
+                (
+                    config_fingerprint(catalog.config)
+                    if catalog is not None
+                    else _NO_CATALOG
+                ),
+                __version__,
+            )
         )
 
-    def _invalidate_results(self) -> None:
-        """Drop every cached run (corpus or catalog content changed).
-
-        Only the in-memory tier needs explicit clearing: persistent
-        records embed the content they were recorded under in their
-        keys, so changed content makes them unreachable by construction
-        (and reverting the content makes them valid again)."""
-        with self._lock:
-            if self._results is not None:
-                self._results.clear()
-
     # ------------------------------------------------------------------
-    # Persistent result tier
+    # Result store (the catalog store behind the memory front)
     # ------------------------------------------------------------------
-    def _persist_store(self):
-        """The catalog store backing the persistent result tier, or
-        ``None`` when the tier is inactive.
+    def _result_store(self, registries: tuple):
+        """The catalog store behind the result tier for a request keyed
+        under registry mutation counts ``registries``, or ``None``.
 
-        The tier also deactivates as soon as a searcher or task factory
-        is (re-)registered after construction: a live factory has no
-        content identity the on-disk keys could embed, so neither
-        replaying old records under it nor spilling its runs for other
-        processes is sound.  (Factories registered *before* engine
+        The store needs a store-backed catalog, and registries unchanged
+        since construction: a factory (re-)registered later has no
+        content identity the shared keys could embed, so neither
+        replaying old records under it nor writing its runs for other
+        processes is sound.  (Factories registered *before*
         construction are part of the application's cross-process
-        contract, like the library version the keys do embed.  Catalog
-        content mutations, by contrast, need no counter here: the keys
-        embed the corpus content and catalog config, and candidate
-        preparation re-syncs the catalog to the corpus, so a replay
-        always matches what a live run would have produced.)"""
-        if not self.persist_results or self.catalog is None:
+        contract, like the library version the keys do embed.)"""
+        if self._results is None or registries != self._registry_baseline:
             return None
-        if (
-            self.searchers.mutations,
-            self.tasks.mutations,
-        ) != self._registry_baseline:
-            return None
-        return self.catalog.store
+        catalog = self.catalog
+        return catalog.store if catalog is not None else None
 
     def _corpus_content_fingerprint(self, corpus: dict):
         """Content digest of ``corpus`` (a specific corpus dict, not
-        "whatever is attached right now" — the spill path stamps the
+        "whatever is attached right now" — admission keys by the
         corpus a run actually used, even if a swap raced the search).
 
         Memoized by dict identity: corpora are replaced wholesale, never
@@ -1067,41 +1071,16 @@ class DiscoveryEngine:
                 self._corpus_fp_memo = (corpus, digest)
         return digest
 
-    def _persistent_key(self, cache_key, corpus: dict):
-        """On-disk key for one cacheable request served over ``corpus``,
-        or ``None`` when the persistent tier is inactive."""
-        if self._persist_store() is None:
-            return None
-        from repro import __version__
-
-        with self._catalog_lock:
-            catalog_config = config_fingerprint(self.catalog.config)
-        return result_key(
-            cache_key[0],  # base-table content fingerprint
-            cache_key[1],  # profile-registry fingerprint
-            cache_key[2],  # canonical request descriptor
-            self._corpus_content_fingerprint(corpus),
-            catalog_config,
-            __version__,
-        )
-
-    def _load_persistent(self, cache_key, request):
-        """Replayable run from the on-disk tier, or ``None`` on a miss.
+    def _read_store(self, cache_key, request):
+        """Replayable run from the store, or ``None`` on a miss.
 
         Returns ``(run, record size)``.  Malformed or foreign payloads
-        are treated as misses — persisted runs are a cache, damage
+        are treated as misses — stored runs are a cache, damage
         degrades to re-running."""
-        store = self._persist_store()
+        store = self._result_store(cache_key.registries)
         if store is None:
             return None
-        with self._lock:
-            corpus = self._corpus
-        if corpus is None:
-            return None
-        key = self._persistent_key(cache_key, corpus)
-        if key is None:
-            return None
-        payload = store.read_result(key)
+        payload = store.read_result(cache_key.digest)
         if not isinstance(payload, dict) or payload.get("version") != 1:
             return None
         record = payload.get("record")
@@ -1111,28 +1090,26 @@ class DiscoveryEngine:
             return None
         if not run.completed:
             return None
-        # Budget the in-memory admission by the stored file's size (the
-        # wrapper stamp adds a few bytes over the bare record — close
-        # enough for the LRU, and it skips re-serializing the payload
-        # we just parsed).
-        size = store.result_record_size(key) or len(
+        # Budget the memory-front admission by the stored file's size
+        # (the wrapper stamp adds a few bytes over the bare record —
+        # close enough for the LRU, and it skips re-serializing the
+        # payload we just parsed).
+        size = store.result_record_size(cache_key.digest) or len(
             json.dumps(record).encode("utf-8")
         )
         return run, size
 
-    def _spill_persistent(self, cache_key, record: dict, corpus: dict) -> None:
-        """Best-effort write of one completed run record to the on-disk
-        tier (a failed spill degrades to a warning — persistence is an
-        optimization, never a serving failure)."""
-        store = self._persist_store()
+    def _write_store(self, cache_key, record: dict, corpus: dict) -> bool:
+        """Best-effort write of one completed run record to the store;
+        returns whether it was written (a failed write degrades to a
+        warning — the store is an optimization, never a serving
+        failure)."""
+        store = self._result_store(cache_key.registries)
         if store is None:
-            return
-        key = self._persistent_key(cache_key, corpus)
-        if key is None:
-            return
+            return False
         try:
             store.write_result(
-                key,
+                cache_key.digest,
                 {
                     "version": 1,
                     "stamp": {
@@ -1148,6 +1125,8 @@ class DiscoveryEngine:
             warnings.warn(
                 f"could not persist run record: {error}", stacklevel=2
             )
+            return False
+        return True
 
     def _serve(
         self, request, task, factory, run_id, progress, cancel,
@@ -1231,14 +1210,11 @@ class DiscoveryEngine:
                 )
                 source = "cache" if from_cache else "prepared"
         if context_box is not None:
-            # Stamp the catalog state the run's inputs reflect *before*
-            # the search: a catalog mutated while the search runs must
-            # not get this run admitted under its post-mutation key.
-            # The corpus snapshot travels along so the persistent tier
-            # stamps the content this run *actually* searched, even if
+            # The corpus (and catalog) this run searches travel along:
+            # the result tier keys the run by them at admission, even if
             # an attach_corpus or snapshot swap races the search.
-            with self._catalog_lock:
-                context_box.append((self._catalog_mutations(), corpus))
+            with self._lock:
+                context_box.append((corpus, self.catalog))
         prepare_seconds = time.perf_counter() - start
         self._m_prepare_seconds.labels(source=source).observe(prepare_seconds)
         emit(
@@ -1505,7 +1481,9 @@ class DiscoveryEngine:
                 ),
                 "result_cache_reserved": len(self._reservations),
                 "result_store_hits": self.result_store_hits,
-                "result_store_active": self._persist_store() is not None,
+                "result_store_active": self._result_store(
+                    (self.searchers.mutations, self.tasks.mutations)
+                ) is not None,
                 "snapshot_epoch": self._snapshot_epoch,
                 "refresher_attached": self._refresher is not None,
                 "last_sync_staleness": self.last_sync_staleness,
@@ -1513,11 +1491,11 @@ class DiscoveryEngine:
                 "searchers": self.searchers.names(),
             }
         # Catalog state is guarded by the catalog lock, not the engine
-        # lock — and deliberately taken *after* releasing it: a prepare
-        # holds the catalog lock while it invalidates the result cache
-        # (engine lock), so nesting them here in the opposite order
-        # would deadlock.  A catalog mid-refresh must still not leak a
-        # half-applied view into stats.
+        # lock — and deliberately taken *after* releasing it: a snapshot
+        # swap holds the catalog lock while it takes the engine lock, so
+        # nesting them here in the opposite order would deadlock.  A
+        # catalog mid-refresh must still not leak a half-applied view
+        # into stats.
         if self.catalog is not None:
             with self._catalog_lock:
                 out["catalog"] = self.catalog.stats()

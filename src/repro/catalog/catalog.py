@@ -120,10 +120,6 @@ class Catalog:
         # Instrumentation: columns signed from scratch vs hydrated from disk.
         self.computed_columns = 0
         self.loaded_columns = 0
-        #: Monotone count of structural mutations (every add/remove).
-        #: Cheap change detection for caches layered above the catalog:
-        #: equal counts on one instance imply an unchanged table set.
-        self.mutations = 0
         if store is not None:
             self._index.set_entry_loader(self._load_entries)
             manifest = store.read_manifest()
@@ -215,7 +211,6 @@ class Catalog:
                 self._removed_since_save.discard(table.name)
                 self._removed_fingerprints.pop(table.name, None)
                 self.loaded_columns += len(table.column_names)
-                self.mutations += 1
                 return fingerprint
         entries = None
         if self.store is not None and self.store.has_object(object_id):
@@ -233,7 +228,6 @@ class Catalog:
         self._fingerprints[table.name] = fingerprint
         self._removed_since_save.discard(table.name)
         self._removed_fingerprints.pop(table.name, None)
-        self.mutations += 1
         return fingerprint
 
     def _compute_and_persist(self, table: Table, object_id: str) -> dict:
@@ -310,7 +304,6 @@ class Catalog:
         self._persisted.pop(table_name, None)
         self._removed_since_save.add(table_name)
         self._removed_fingerprints[table_name] = removed_fingerprint
-        self.mutations += 1
 
     def update(self, table: Table, fingerprint: str = None) -> bool:
         """Re-catalog a table if its content changed.
@@ -402,7 +395,6 @@ class Catalog:
                 self._removed_since_save.add(name)
                 if previous is not None:
                     self._removed_fingerprints[name] = previous
-                self.mutations += 1
             diff.removed.append(name)
         known_fp = fingerprints or {}
         for name in sorted(tables):

@@ -88,7 +88,7 @@ class TestSnapshotSwap:
         source.mutate(mutated)
         refresher.refresh_now()
         second = engine.discover(request_for(scenario))
-        assert not second.cached  # snapshot swap invalidated the cache
+        assert not second.cached  # changed content keys elsewhere
         assert engine.stats()["snapshot_epoch"] == 2
         assert first.completed and second.completed
 

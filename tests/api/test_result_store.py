@@ -1,8 +1,9 @@
-"""The result cache's persistent tier: run records spilled to the store.
+"""The result cache's store: run records written to the catalog store.
 
-Completed cacheable runs spill their JSON records into the catalog
-store under content-addressed keys (base table + registry + request
-descriptor + whole-corpus content + catalog config + library version).
+With a store-backed catalog attached, completed cacheable runs write
+their JSON records into the catalog store under content-addressed keys
+(base table + registry + request descriptor + whole-corpus content +
+catalog config + library version).
 Identical requests replay across engine instances and processes; a
 changed corpus makes old records unreachable *by key construction*, and
 reverting the content makes them valid again — invalidation is exactly
@@ -51,7 +52,6 @@ def engine_for(scenario, root, corpus=None, **overrides):
         corpus=corpus if corpus is not None else scenario.corpus,
         catalog=Catalog.open(root),
         result_cache_bytes=CACHE,
-        persist_results=True,
     )
     options.update(overrides)
     return DiscoveryEngine(**options)
@@ -218,14 +218,6 @@ class TestDegradation:
             fresh = engine_for(scenario, root)
             assert fresh.discover(request_for(scenario)).completed
 
-    def test_persist_requires_memory_tier(self, scenario, tmp_path):
-        with pytest.raises(ValueError, match="persist_results"):
-            DiscoveryEngine(
-                corpus=scenario.corpus,
-                catalog=Catalog.open(str(tmp_path / "cat")),
-                persist_results=True,
-            )
-
     def test_reregistration_deactivates_persistent_tier(
         self, scenario, tmp_path
     ):
@@ -250,7 +242,6 @@ class TestDegradation:
         engine = DiscoveryEngine(
             corpus=scenario.corpus,
             result_cache_bytes=CACHE,
-            persist_results=True,
         )
         run = engine.discover(request_for(scenario))
         assert run.completed
